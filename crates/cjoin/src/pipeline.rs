@@ -44,7 +44,7 @@ use parking_lot::Mutex;
 use qs_engine::{BatchSource, ExecCtx, OutputHub, ShareMode, StageKind};
 use qs_plan::compiled::{iter_ones, mask_words};
 use qs_plan::{CompiledPred, Expr, PredScratch, StarQuery};
-use qs_storage::{Catalog, ColumnBatch, FactBatch, Page, PageBuilder, Schema, Table};
+use qs_storage::{Catalog, ColumnBatch, FactBatch, Page, PageBuilder, ReadAhead, Schema, Table};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -934,6 +934,7 @@ fn preprocessor_loop(
 ) {
     let mut active: Vec<ActiveQuery> = Vec::new();
     let mut pos = 0usize;
+    let mut ahead = ReadAhead::default();
     let pages = fact.page_count();
     let mut inline_scratch = ChunkScratch::default();
     // Per-chunk scratch and result slots for the pooled parallel path,
@@ -1014,11 +1015,14 @@ fn preprocessor_loop(
             continue;
         }
 
-        // One page of the circular fact scan. A failed read poisons every
-        // query whose revolution spans this page — i.e. all currently
-        // active ones — but not the pipeline: their outputs are aborted
-        // with the typed cause and the scan moves on for future admits.
-        let page = match ctx.pool.get(&fact, pos) {
+        // One page of the circular fact scan, read ahead no further than
+        // the longest remaining revolution needs. A failed read poisons
+        // every query whose revolution spans this page — i.e. all
+        // currently active ones — but not the pipeline: their outputs are
+        // aborted with the typed cause and the scan moves on for future
+        // admits.
+        let want = active.iter().map(|q| q.remaining_pages).max().unwrap_or(1);
+        let page = match ahead.page(&ctx.pool, &fact, pos, want) {
             Ok(p) => p,
             Err(e) => {
                 let msg = format!("fact page {pos} unreadable: {e}");

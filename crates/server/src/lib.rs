@@ -162,6 +162,9 @@ pub fn serve(db: Arc<SharingDb>, addr: &str) -> io::Result<ServerHandle> {
             while !accept_stop.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
+                        // A socket that rejects the set-up is still
+                        // served, only with the kernel's defaults.
+                        let _ = configure_stream(&stream);
                         conn_id += 1;
                         accept_stats.connections.fetch_add(1, Ordering::Relaxed);
                         let db = db.clone();
@@ -187,6 +190,14 @@ pub fn serve(db: Arc<SharingDb>, addr: &str) -> io::Result<ServerHandle> {
         accept_thread: Some(accept_thread),
         stats,
     })
+}
+
+/// Socket set-up for every accepted connection. `TCP_NODELAY`: a reply
+/// is a few small frames flushed together, and with Nagle's algorithm on,
+/// a reply written while the client has not yet acknowledged the previous
+/// one waits for that (delayed) acknowledgement before it is sent.
+fn configure_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
 }
 
 /// Retry-After for a shed query: one queue-timeout per queued submitter
@@ -510,6 +521,15 @@ mod tests {
         // Without a configured gate the default base still yields a
         // finite, non-zero backoff.
         assert!(retry_after_ms(&RetryHint::default(), None) > 0);
+    }
+
+    #[test]
+    fn accepted_streams_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        configure_stream(&stream).unwrap();
+        assert!(stream.nodelay().unwrap());
     }
 
     #[test]

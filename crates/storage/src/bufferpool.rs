@@ -12,6 +12,13 @@
 //! real buffer pool latches an in-flight frame. Without this, N concurrent
 //! scans of the same table would charge N disk reads per page and shared
 //! scans would lose their I/O benefit.
+//!
+//! Sequential readers on a latency disk fetch runs of pages with
+//! [`BufferPool::get_run`]: the run's missing pages are loaded with one
+//! vectored disk read, so a lone scan keeps
+//! [`BufferPool::read_ahead_depth`] spindles busy instead of one. Runs keep
+//! single flight: a page is loaded by exactly one caller, whichever of
+//! `get` or `get_run` marked it first.
 
 use crate::disk::DiskModel;
 use crate::error::StorageError;
@@ -190,6 +197,113 @@ impl BufferPool {
                 }
             }
         }
+    }
+
+    /// How many pages a sequential reader should fetch per
+    /// [`BufferPool::get_run`]: one per spindle, clamped to the pool's
+    /// capacity. `1` — read page by page with [`BufferPool::get`] — when
+    /// reads cost nothing (a zero-latency, memory-resident disk) or when
+    /// caching is disabled.
+    pub fn read_ahead_depth(&self) -> usize {
+        let disk = self.disk.config();
+        if self.capacity == 0 || disk.latency.is_zero() {
+            1
+        } else {
+            disk.spindles.clamp(1, self.capacity)
+        }
+    }
+
+    /// Fetch a run of consecutive pages of `table` from `start`: at least
+    /// one page and at most `n` (and never past the table's end). A
+    /// resident page is a hit. A page another caller is loading ends the
+    /// run there, except at `start`, which is waited for as in
+    /// [`BufferPool::get`]. Every missing page is marked loading and all of
+    /// them are read with one vectored disk read.
+    ///
+    /// The `disk.read` failpoint is evaluated once per missing page. On a
+    /// failure every page this call marked loading is released for the
+    /// next caller to retry, and no page is returned. With caching
+    /// disabled (or `n <= 1`) this is one [`BufferPool::get`].
+    pub fn get_run(
+        &self,
+        table: &Table,
+        start: usize,
+        n: usize,
+    ) -> Result<Vec<Arc<Page>>, StorageError> {
+        let end = start.saturating_add(n).min(table.page_count());
+        if self.capacity == 0 || end <= start + 1 {
+            return Ok(vec![self.get(table, start)?]);
+        }
+        // The run, in page order: a hit's page, or `None` for a page this
+        // call marked `Loading` and must read.
+        let mut run: Vec<Option<Arc<Page>>> = Vec::with_capacity(end - start);
+        let mut missing: Vec<usize> = Vec::new();
+        {
+            let mut inner = self.inner.lock();
+            let mut page_no = start;
+            while page_no < end {
+                let pid = table.page_id(page_no);
+                match inner.map.get(&pid) {
+                    Some(Entry::Resident(idx)) => {
+                        let idx = *idx;
+                        inner.frames[idx].ref_bit = true;
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        run.push(Some(inner.frames[idx].page.clone()));
+                    }
+                    Some(Entry::Loading) if run.is_empty() => {
+                        // The run's first page is in flight elsewhere:
+                        // wait for it as `get` would. Nothing is marked
+                        // yet, so waiting holds up no other reader.
+                        self.loaded.wait(&mut inner);
+                        continue;
+                    }
+                    Some(Entry::Loading) => break,
+                    None => {
+                        inner.map.insert(pid, Entry::Loading);
+                        self.misses.fetch_add(1, Ordering::Relaxed);
+                        missing.push(page_no);
+                        run.push(None);
+                    }
+                }
+                page_no += 1;
+            }
+        }
+        if missing.is_empty() {
+            return Ok(run.into_iter().flatten().collect());
+        }
+
+        // As in `get`, the I/O happens outside the pool lock.
+        let read = missing
+            .iter()
+            .try_for_each(|_| fault::maybe_io("disk.read", "page read"))
+            .map(|()| {
+                let bytes: Vec<usize> = missing
+                    .iter()
+                    .map(|&p| table.raw_page(p).byte_len())
+                    .collect();
+                self.disk.read_pages_sized(&bytes);
+            });
+
+        let mut inner = self.inner.lock();
+        if let Err(e) = read {
+            // Every `Loading` entry of this run is ours and must not
+            // outlive the failed read, or waiters block forever.
+            for &p in &missing {
+                inner.map.remove(&table.page_id(p));
+            }
+            self.loaded.notify_all();
+            return Err(e);
+        }
+        for &p in &missing {
+            let page = table.raw_page(p).clone();
+            self.place(&mut inner, table.page_id(p), page.clone());
+            run[p - start] = Some(page);
+        }
+        self.loaded.notify_all();
+        Ok(run
+            .into_iter()
+            .map(|p| p.expect("every page of the run was a hit or has just been read"))
+            .collect())
     }
 
     /// Install `page` into a frame, evicting if at capacity. Returns the
@@ -373,6 +487,120 @@ mod tests {
         // The failed load must not leave a stuck `Loading` entry: the
         // same page is readable again once the fault clears.
         assert_eq!(pool.get(&t, 0).unwrap().rows(), 4);
+    }
+
+    fn latency_disk(spindles: usize) -> Arc<DiskModel> {
+        Arc::new(DiskModel::new(DiskConfig {
+            spindles,
+            latency: std::time::Duration::from_micros(200),
+        }))
+    }
+
+    fn loading_entries(pool: &BufferPool) -> usize {
+        let inner = pool.inner.lock();
+        inner
+            .map
+            .values()
+            .filter(|e| matches!(e, Entry::Loading))
+            .count()
+    }
+
+    #[test]
+    fn read_ahead_depth_follows_the_disk() {
+        let depth = |disk, capacity| {
+            BufferPool::new(BufferPoolConfig::with_capacity(capacity), disk).read_ahead_depth()
+        };
+        assert_eq!(depth(latency_disk(7), 100), 7);
+        assert_eq!(depth(latency_disk(7), 3), 3, "clamped to the pool");
+        assert_eq!(depth(latency_disk(7), 0), 1, "caching disabled");
+        assert_eq!(depth(mem_disk(), 100), 1, "zero-latency disk");
+    }
+
+    #[test]
+    fn concurrent_get_and_get_run_share_every_load() {
+        // 12 pages requested by overlapping runs and single gets, all
+        // released at once: every page is still read exactly once.
+        let t = Arc::new(table(48, 32)); // 12 pages
+        let pool = Arc::new(BufferPool::new(
+            BufferPoolConfig::with_capacity(16),
+            latency_disk(4),
+        ));
+        let barrier = Arc::new(std::sync::Barrier::new(8));
+        let hs: Vec<_> = (0..8usize)
+            .map(|i| {
+                let (t, pool, barrier) = (t.clone(), pool.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    if i % 2 == 0 {
+                        // Runs from 0, 2, 4, 6: each covers up to 6 pages
+                        // and overlaps its neighbours.
+                        let mut p = i;
+                        while p < t.page_count() {
+                            let run = pool.get_run(&t, p, 6).unwrap();
+                            for (k, page) in run.iter().enumerate() {
+                                assert!(Arc::ptr_eq(page, t.raw_page(p + k)));
+                            }
+                            p += run.len();
+                        }
+                    } else {
+                        for p in (0..t.page_count()).rev() {
+                            assert!(Arc::ptr_eq(&pool.get(&t, p).unwrap(), t.raw_page(p)));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join().unwrap();
+        }
+        assert_eq!(
+            pool.disk().stats().reads,
+            12,
+            "single flight across get and get_run"
+        );
+        assert_eq!(pool.stats().misses, 12);
+        assert_eq!(loading_entries(&pool), 0);
+    }
+
+    #[test]
+    fn failed_run_releases_its_loads_and_the_cursor_resumes() {
+        let _g = fault::test_guard();
+        let t = Arc::new(table(40, 32)); // 10 pages
+        let pool = BufferPool::new(BufferPoolConfig::with_capacity(16), latency_disk(4));
+        let mut cursor = crate::scan::CircularCursor::from_position(t.clone(), 0);
+        let mut seen = Vec::new();
+        for _ in 0..4 {
+            // One run of four pages.
+            seen.push(cursor.next_page(&pool).unwrap().unwrap());
+        }
+        assert_eq!(pool.disk().stats().reads, 4);
+        // The next run (pages 4..8) passes the failpoint for its first
+        // missing page and fails on the second.
+        fault::arm(
+            1,
+            &[(
+                "disk.read",
+                fault::FaultSpec {
+                    prob: 1.0,
+                    after: 1,
+                },
+            )],
+        );
+        let err = cursor.next_page(&pool).unwrap_err();
+        fault::disarm();
+        assert!(matches!(err, StorageError::Io(_)), "{err:?}");
+        assert_eq!(loading_entries(&pool), 0, "no stuck Loading entry");
+        assert_eq!(pool.disk().stats().reads, 4, "a failed run reads nothing");
+        assert_eq!(cursor.remaining(), 6, "nothing consumed");
+        // The revolution resumes at page 4 and completes in order.
+        while let Some(page) = cursor.next_page(&pool).unwrap() {
+            seen.push(page);
+        }
+        assert_eq!(seen.len(), 10);
+        for (p, page) in seen.iter().enumerate() {
+            assert!(Arc::ptr_eq(page, t.raw_page(p)), "page {p} out of order");
+        }
+        assert_eq!(pool.disk().stats().reads, 10);
     }
 
     #[test]

@@ -7,6 +7,18 @@
 //! disk-resident scenarios exhibit the same contention behaviour (shared
 //! scans amortize I/O; query-centric scans fight for spindles) without real
 //! hardware.
+//!
+//! # Vectored reads
+//!
+//! A sequential scan that reads one page at a time keeps one spindle busy
+//! however many the array has. [`DiskModel::read_pages_sized`] lets a
+//! reader fetch a run of pages at once, under one spindle rule: the read
+//! takes at least one spindle (waiting if none is free) plus whatever
+//! spindles are free at that moment, up to one per page. That group of
+//! pages is served in parallel for the latency of its slowest page; the
+//! rest of the run then repeats the rule. A vectored read never holds more
+//! spindles than the disk has, so it competes fairly with other readers,
+//! and it still counts one read per page.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,16 +66,26 @@ impl Default for DiskConfig {
 pub struct DiskStats {
     /// Total simulated page reads serviced.
     pub reads: u64,
-    /// Total nanoseconds callers spent blocked in `read_page`
-    /// (queueing + service).
+    /// Total nanoseconds callers spent blocked in a read (queueing +
+    /// service). A vectored read counts its caller's blocked time once,
+    /// not once per page, so this sum is caller wait, not spindle time.
     pub busy_nanos: u64,
+}
+
+/// Spindle occupancy, guarded by the disk's mutex.
+#[derive(Default)]
+struct Spindles {
+    /// Page reads in service right now.
+    busy: usize,
+    /// Highest `busy` ever seen.
+    peak: usize,
 }
 
 /// The simulated disk: a counting semaphore of spindles and a service
 /// latency per read.
 pub struct DiskModel {
     config: DiskConfig,
-    in_flight: Mutex<usize>,
+    spindles: Mutex<Spindles>,
     available: Condvar,
     reads: AtomicU64,
     busy_nanos: AtomicU64,
@@ -74,7 +96,7 @@ impl DiskModel {
     pub fn new(config: DiskConfig) -> Self {
         DiskModel {
             config,
-            in_flight: Mutex::new(0),
+            spindles: Mutex::new(Spindles::default()),
             available: Condvar::new(),
             reads: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
@@ -90,7 +112,7 @@ impl DiskModel {
     /// blocks for the configured latency. Zero-latency disks return
     /// immediately without touching the semaphore.
     pub fn read_page(&self) {
-        self.read_with_latency(self.config.latency);
+        self.read_page_sized(crate::page::DEFAULT_PAGE_BYTES);
     }
 
     /// One simulated read of a page holding `bytes` encoded bytes: the
@@ -99,38 +121,55 @@ impl DiskModel {
     /// I/O time while tiny-page tests don't round to zero. Counts one
     /// read, same as [`Self::read_page`].
     pub fn read_page_sized(&self, bytes: usize) {
-        let scale = (bytes as f64 / crate::page::DEFAULT_PAGE_BYTES as f64).clamp(0.25, 4.0);
-        self.read_with_latency(self.config.latency.mul_f64(scale));
+        self.read_pages_sized(&[bytes]);
     }
 
-    fn read_with_latency(&self, latency: Duration) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        if latency.is_zero() {
+    /// One vectored read of several pages, `bytes[i]` encoded bytes each,
+    /// served under the spindle rule in the [module docs](self): groups of
+    /// pages share the free spindles and each group takes as long as its
+    /// slowest page (size-scaled as in [`Self::read_page_sized`]). Counts
+    /// one read per page.
+    pub fn read_pages_sized(&self, bytes: &[usize]) {
+        self.reads.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        if self.config.latency.is_zero() {
             return;
         }
         let start = Instant::now();
-        {
-            let mut in_flight = self.in_flight.lock();
-            while *in_flight >= self.config.spindles {
-                self.available.wait(&mut in_flight);
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let group = {
+                let mut s = self.spindles.lock();
+                while s.busy >= self.config.spindles {
+                    self.available.wait(&mut s);
+                }
+                let group = (self.config.spindles - s.busy).min(rest.len());
+                s.busy += group;
+                s.peak = s.peak.max(s.busy);
+                group
+            };
+            let (served, tail) = rest.split_at(group);
+            rest = tail;
+            // The group takes as long as its largest page.
+            let largest = served.iter().copied().max().unwrap_or_default();
+            let scale = (largest as f64 / crate::page::DEFAULT_PAGE_BYTES as f64).clamp(0.25, 4.0);
+            let latency = self.config.latency.mul_f64(scale);
+            // Service time. `sleep` granularity on Linux is tens of µs
+            // which is fine for the 100µs default; shorter latencies spin.
+            if latency >= Duration::from_micros(60) {
+                std::thread::sleep(latency);
+            } else {
+                let until = Instant::now() + latency;
+                while Instant::now() < until {
+                    std::hint::spin_loop();
+                }
             }
-            *in_flight += 1;
-        }
-        // Service time. `sleep` granularity on Linux is tens of µs which is
-        // fine for the 100µs default; shorter latencies spin.
-        if latency >= Duration::from_micros(60) {
-            std::thread::sleep(latency);
-        } else {
-            let until = start + latency;
-            while Instant::now() < until {
-                std::hint::spin_loop();
+            self.spindles.lock().busy -= group;
+            if group == 1 {
+                self.available.notify_one();
+            } else {
+                self.available.notify_all();
             }
         }
-        {
-            let mut in_flight = self.in_flight.lock();
-            *in_flight -= 1;
-        }
-        self.available.notify_one();
         self.busy_nanos
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
@@ -227,6 +266,46 @@ mod tests {
         d.read_page_sized(16);
         assert!(t.elapsed() >= Duration::from_millis(1));
         assert_eq!(d.stats().reads, 5);
+    }
+
+    #[test]
+    fn vectored_reads_stay_within_the_spindles() {
+        let d = Arc::new(DiskModel::new(DiskConfig {
+            spindles: 3,
+            latency: Duration::from_millis(2),
+        }));
+        let page = crate::page::DEFAULT_PAGE_BYTES;
+        // Alone, a run of 7 pages takes every spindle at once: groups of
+        // 3, 3 and 1, so at least three service times.
+        let t = Instant::now();
+        d.read_pages_sized(&[page; 7]);
+        assert!(t.elapsed() >= Duration::from_millis(6));
+        assert_eq!(d.stats().reads, 7);
+        assert_eq!(d.spindles.lock().peak, 3);
+        // Vectored and single reads from four threads at once never have
+        // more than three reads in flight.
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let hs: Vec<_> = (0..4)
+            .map(|i| {
+                let (d, barrier) = (d.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for _ in 0..3 {
+                        if i % 2 == 0 {
+                            d.read_pages_sized(&[page; 5]);
+                        } else {
+                            d.read_page();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join().unwrap();
+        }
+        assert_eq!(d.stats().reads, 7 + 2 * 3 * 5 + 2 * 3);
+        let s = d.spindles.lock();
+        assert_eq!((s.busy, s.peak), (0, 3));
     }
 
     #[test]

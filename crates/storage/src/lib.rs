@@ -13,7 +13,8 @@
 //!   loads ([`bufferpool`]) so that memory-resident vs disk-resident
 //!   databases behave differently, exactly the knob the demo GUI exposes,
 //! * circular (shared) scans ([`scan`]) — the I/O-layer sharing primitive
-//!   both QPipe and CJOIN rely on,
+//!   both QPipe and CJOIN rely on — which on a latency disk read runs of
+//!   pages ahead with one vectored read across the spindles,
 //! * page-at-a-time column batches ([`batch`]) — decode the referenced
 //!   columns of a page once into typed vectors, the substrate for
 //!   vectorized (compiled) predicate evaluation in `qs-plan` and the
@@ -54,7 +55,7 @@ pub use fault::FaultSpec;
 pub use flat::{FlatKey, FlatMap};
 pub use page::{ColumnArray, ColumnPage, Page, PageBuilder, PageId, PageLayout, DEFAULT_PAGE_BYTES};
 pub use row::{RowCursor, RowRef};
-pub use scan::CircularCursor;
+pub use scan::{CircularCursor, ReadAhead};
 pub use schema::{Column, Schema};
 pub use table::{Table, TableBuilder, TableId};
 pub use value::{DataType, Value};

@@ -9,12 +9,65 @@
 //!
 //! [`CircularCursor`] implements the reader side; the attach position comes
 //! from the per-table scan clock maintained in [`crate::Table`].
+//!
+//! On a latency disk a sequential reader fetches pages ahead of its
+//! position ([`ReadAhead`]), one run of up to
+//! [`BufferPool::read_ahead_depth`] pages per vectored read, so its waits
+//! overlap across the spindles. Pages still come out one at a time and in
+//! the same order, and the table clock only moves as pages are consumed.
 
 use crate::bufferpool::BufferPool;
 use crate::error::StorageError;
 use crate::page::Page;
 use crate::table::Table;
+use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// The pages a sequential reader has fetched ahead of its position. They
+/// are held as `Arc<Page>`, so buffer-pool eviction never forces a page
+/// that was read ahead to be read again.
+#[derive(Default)]
+pub struct ReadAhead {
+    /// Page number of `ring[0]`.
+    front: usize,
+    ring: VecDeque<Arc<Page>>,
+}
+
+impl ReadAhead {
+    /// Page `pos` of `table`, for a reader that will go on to consume up to
+    /// `want` consecutive pages from `pos` (itself included). Served from
+    /// the pages read ahead when `pos` is the next of them; otherwise reads
+    /// a run of up to `want` pages, capped by the pool's read-ahead depth
+    /// and the table's end, and keeps the rest. At depth 1 this is exactly
+    /// one [`BufferPool::get`]. A failed read consumes nothing.
+    pub fn page(
+        &mut self,
+        pool: &BufferPool,
+        table: &Table,
+        pos: usize,
+        want: usize,
+    ) -> Result<Arc<Page>, StorageError> {
+        if self.front == pos {
+            if let Some(page) = self.ring.pop_front() {
+                self.front += 1;
+                return Ok(page);
+            }
+        }
+        self.ring.clear();
+        let n = pool
+            .read_ahead_depth()
+            .min(want)
+            .min(table.page_count() - pos);
+        if n <= 1 {
+            return pool.get(table, pos);
+        }
+        let mut run = pool.get_run(table, pos, n)?.into_iter();
+        let page = run.next().expect("a run holds at least one page");
+        self.ring.extend(run);
+        self.front = pos + 1;
+        Ok(page)
+    }
+}
 
 /// A cursor that reads every page of a table exactly once, starting at the
 /// table's current circular-scan position and wrapping.
@@ -23,6 +76,7 @@ pub struct CircularCursor {
     pos: usize,
     start: usize,
     remaining: usize,
+    ahead: ReadAhead,
 }
 
 impl CircularCursor {
@@ -34,6 +88,7 @@ impl CircularCursor {
             start,
             remaining: table.page_count(),
             table,
+            ahead: ReadAhead::default(),
         }
     }
 
@@ -47,6 +102,7 @@ impl CircularCursor {
             start,
             remaining: n,
             table,
+            ahead: ReadAhead::default(),
         }
     }
 
@@ -65,15 +121,18 @@ impl CircularCursor {
         &self.table
     }
 
-    /// Fetch the next page through the buffer pool, or `Ok(None)` after
-    /// one full revolution. A failed read surfaces as the pool's typed
-    /// error and does **not** consume the page: the revolution can be
-    /// resumed by calling again (the position only advances on success).
+    /// Fetch the next page through the buffer pool (reading ahead on a
+    /// latency disk, see [`ReadAhead`]), or `Ok(None)` after one full
+    /// revolution. A failed read surfaces as the pool's typed error and
+    /// does **not** consume the page: the revolution can be resumed by
+    /// calling again (the position only advances on success).
     pub fn next_page(&mut self, pool: &BufferPool) -> Result<Option<Arc<Page>>, StorageError> {
         if self.remaining == 0 {
             return Ok(None);
         }
-        let page = pool.get(&self.table, self.pos)?;
+        let page = self
+            .ahead
+            .page(pool, &self.table, self.pos, self.remaining)?;
         self.table.advance_clock(self.pos);
         self.pos = (self.pos + 1) % self.table.page_count();
         self.remaining -= 1;
@@ -160,6 +219,42 @@ mod tests {
         let mut b2 = CircularCursor::new(table.clone());
         while b2.next_page(&pool).unwrap().is_some() {}
         assert_eq!(pool.disk().stats().reads, 5, "second scan fully buffered");
+    }
+
+    #[test]
+    fn cold_scan_reads_each_page_once_at_any_depth() {
+        // A lone cold revolution from page 3 of a 10-page table, on a
+        // one-spindle disk (depth 1) and a four-spindle disk (depth 4,
+        // runs that don't divide the table and wrap at its end). The pool
+        // holds only four pages, so a run past the revolution's last page
+        // would read page 3 again.
+        let (t, _) = setup(40);
+        let revolution = |spindles: usize| {
+            let disk = Arc::new(DiskModel::new(DiskConfig {
+                spindles,
+                latency: std::time::Duration::from_micros(200),
+            }));
+            let pool = BufferPool::new(BufferPoolConfig::with_capacity(4), disk);
+            let mut c = CircularCursor::from_position(t.clone(), 3);
+            let mut pages = Vec::new();
+            while let Some(p) = c.next_page(&pool).unwrap() {
+                pages.push(p);
+            }
+            assert_eq!(pool.read_ahead_depth(), spindles);
+            assert_eq!(
+                pool.disk().stats().reads,
+                10,
+                "reads == pages at {spindles} spindles"
+            );
+            pages
+        };
+        let serial = revolution(1);
+        let ahead = revolution(4);
+        assert_eq!(serial.len(), 10);
+        for (i, (a, b)) in serial.iter().zip(&ahead).enumerate() {
+            assert!(Arc::ptr_eq(a, t.raw_page((3 + i) % 10)));
+            assert!(Arc::ptr_eq(a, b), "page {i} differs between depths");
+        }
     }
 
     #[test]
